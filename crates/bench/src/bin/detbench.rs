@@ -15,7 +15,8 @@
 //! ```
 //!
 //! `--check` reruns the corpus measurements and fails (exit 1) if the
-//! Table 1 analysis wall time regresses more than `--max-regress`
+//! Table 1 analysis wall time or the full Table 1 pipeline wall time
+//! (analysis, specializer and PTA) regresses more than `--max-regress`
 //! (default 0.25 = 25%) against the baseline file's `after` section —
 //! the CI smoke gate.
 //!
@@ -195,22 +196,35 @@ fn main() {
         } else {
             &base
         };
-        let base_wall = after["table1_analysis"]["wall_ms"]
-            .as_f64()
-            .expect("baseline table1_analysis.wall_ms");
-        let cur = m.table1_analysis.wall_ms;
-        let limit = base_wall * (1.0 + max_regress);
-        eprintln!(
-            "check: table1 analysis wall {cur:.1}ms vs baseline {base_wall:.1}ms \
-             (limit {limit:.1}ms)"
-        );
+        let gates = [
+            (
+                "table1 analysis wall",
+                m.table1_analysis.wall_ms,
+                after["table1_analysis"]["wall_ms"].as_f64(),
+            ),
+            (
+                "table1 full pipeline wall",
+                m.table1_full_wall_ms,
+                after["table1_full_wall_ms"].as_f64(),
+            ),
+        ];
         if MODE == "debug" {
             eprintln!("check: debug build — wall-time gate is advisory only");
-        } else if cur > limit {
-            eprintln!(
-                "FAIL: corpus wall time regressed more than {:.0}%",
-                max_regress * 100.0
-            );
+        }
+        let mut failed = false;
+        for (name, cur, base_wall) in gates {
+            let base_wall = base_wall.unwrap_or_else(|| panic!("baseline lacks {name}"));
+            let limit = base_wall * (1.0 + max_regress);
+            eprintln!("check: {name} {cur:.1}ms vs baseline {base_wall:.1}ms (limit {limit:.1}ms)");
+            if cur > limit && MODE != "debug" {
+                eprintln!(
+                    "FAIL: {name} regressed more than {:.0}%",
+                    max_regress * 100.0
+                );
+                failed = true;
+            }
+        }
+        if failed {
             std::process::exit(1);
         }
         eprintln!("check: ok");
@@ -759,17 +773,20 @@ fn measure(label: &str, iters: usize, spec_depth: Option<usize>) -> Measurement 
         (t0.elapsed().as_secs_f64() * 1e3, steps)
     });
 
-    // Full Table 1 (analysis + specializer + PTA), single shot: tracked
-    // for context, not gated.
-    let t0 = Instant::now();
-    for v in jquery_like::all_versions() {
-        let _ = mujs_bench::pipeline::run_table1_at_depth(
-            &v,
-            mujs_bench::pipeline::TABLE1_PTA_BUDGET,
-            spec_depth,
-        );
-    }
-    let table1_full_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    // Full Table 1 (analysis + specializer + PTA), best-of-iters like
+    // the analysis-only number, since `--check` gates both.
+    let table1_full_wall_ms = best_of(iters, || {
+        let t0 = Instant::now();
+        for v in jquery_like::all_versions() {
+            let _ = mujs_bench::pipeline::run_table1_at_depth(
+                &v,
+                mujs_bench::pipeline::TABLE1_PTA_BUDGET,
+                spec_depth,
+            );
+        }
+        (t0.elapsed().as_secs_f64() * 1e3, 0)
+    })
+    .wall_ms;
 
     Measurement {
         label: label.to_owned(),

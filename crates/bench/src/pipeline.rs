@@ -65,9 +65,11 @@ pub const PTA_COMPARE_BUDGET: u64 = 2_000_000;
 pub struct PipelineResult {
     /// The dynamic analysis outcome.
     pub analysis: AnalysisOutcome,
-    /// The specializer report (`None` for baseline runs).
-    pub spec_report: Option<SpecReport>,
-    /// The program handed to the pointer analysis.
+    /// The analyzed, unspecialized program: Table 1's Baseline input.
+    pub program: Program,
+    /// The specializer report.
+    pub spec_report: SpecReport,
+    /// The specialized program handed to the pointer analysis.
     pub pta_program: Program,
     /// PTA completion status.
     pub pta_status: PtaStatus,
@@ -110,10 +112,25 @@ pub fn spec_config(depth: Option<usize>) -> SpecConfig {
     }
 }
 
+/// One plain (no facts, no shortcuts) PTA solve of `prog` at
+/// `pta_budget`: its status, propagation work and wall time.
+fn budgeted_solve(prog: &Program, pta_budget: u64) -> (PtaStatus, u64, Duration) {
+    let t0 = Instant::now();
+    let pta = mujs_pta::solve(
+        prog,
+        &PtaConfig {
+            budget: pta_budget,
+            ..Default::default()
+        },
+    );
+    (pta.status, pta.stats.propagations, t0.elapsed())
+}
+
 /// Full Spec pipeline: instrumented run → specializer → budgeted PTA.
-/// With `spec: false` the specializer is skipped (Baseline).
-/// `spec_depth` overrides the specializer's context-depth bound
-/// (`None` = default).
+/// The analyzed program is kept unspecialized in
+/// [`PipelineResult::program`], so a Baseline solve needs no second
+/// analysis. `spec_depth` overrides the specializer's context-depth
+/// bound (`None` = default).
 ///
 /// # Errors
 ///
@@ -123,7 +140,6 @@ pub fn spec_pipeline(
     doc: &Document,
     plan: &EventPlan,
     det_dom: bool,
-    spec: bool,
     pta_budget: u64,
     spec_depth: Option<usize>,
 ) -> Result<PipelineResult, PipelineError> {
@@ -132,32 +148,20 @@ pub fn spec_pipeline(
         ..Default::default()
     };
     let (h, mut analysis) = analyze_page(src, doc, plan, cfg)?;
-    let (pta_program, spec_report) = if spec {
-        let s = mujs_specialize::specialize(
-            &h.program,
-            &analysis.facts,
-            &mut analysis.ctxs,
-            &spec_config(spec_depth),
-        );
-        (s.program, Some(s.report))
-    } else {
-        (h.program.clone(), None)
-    };
-    let t0 = Instant::now();
-    let pta = mujs_pta::solve(
-        &pta_program,
-        &PtaConfig {
-            budget: pta_budget,
-            ..Default::default()
-        },
+    let s = mujs_specialize::specialize(
+        &h.program,
+        &analysis.facts,
+        &mut analysis.ctxs,
+        &spec_config(spec_depth),
     );
-    let pta_time = t0.elapsed();
+    let (pta_status, pta_work, pta_time) = budgeted_solve(&s.program, pta_budget);
     Ok(PipelineResult {
         analysis,
-        spec_report,
-        pta_program,
-        pta_status: pta.status,
-        pta_work: pta.stats.propagations,
+        program: h.program,
+        spec_report: s.report,
+        pta_program: s.program,
+        pta_status,
+        pta_work,
         pta_time,
     })
 }
@@ -206,11 +210,14 @@ impl Table1Row {
     }
 }
 
-/// Runs the full Table 1 experiment for one corpus version.
+/// Runs the full Table 1 experiment for one corpus version: one
+/// instrumented analysis per `det_dom` setting. The plain analysis feeds
+/// both the Baseline column (its unspecialized program) and the Spec
+/// column (that program specialized).
 ///
 /// # Errors
 ///
-/// Propagates the first [`PipelineError`] from the three configurations.
+/// Propagates the first [`PipelineError`] from the two analyses.
 pub fn run_table1(v: &JQueryLike, pta_budget: u64) -> Result<Table1Row, PipelineError> {
     run_table1_at_depth(v, pta_budget, None)
 }
@@ -220,21 +227,19 @@ pub fn run_table1(v: &JQueryLike, pta_budget: u64) -> Result<Table1Row, Pipeline
 ///
 /// # Errors
 ///
-/// Propagates the first [`PipelineError`] from the three configurations.
+/// Propagates the first [`PipelineError`] from the two analyses.
 pub fn run_table1_at_depth(
     v: &JQueryLike,
     pta_budget: u64,
     spec_depth: Option<usize>,
 ) -> Result<Table1Row, PipelineError> {
-    let baseline = spec_pipeline(
-        &v.src, &v.doc, &v.plan, false, false, pta_budget, spec_depth,
-    )?;
-    let spec = spec_pipeline(&v.src, &v.doc, &v.plan, false, true, pta_budget, spec_depth)?;
-    let detdom = spec_pipeline(&v.src, &v.doc, &v.plan, true, true, pta_budget, spec_depth)?;
+    let spec = spec_pipeline(&v.src, &v.doc, &v.plan, false, pta_budget, spec_depth)?;
+    let (baseline_status, baseline_work, _) = budgeted_solve(&spec.program, pta_budget);
+    let detdom = spec_pipeline(&v.src, &v.doc, &v.plan, true, pta_budget, spec_depth)?;
     Ok(Table1Row {
         version: v.version,
-        baseline_ok: baseline.pta_status == PtaStatus::Completed,
-        baseline_work: baseline.pta_work,
+        baseline_ok: baseline_status == PtaStatus::Completed,
+        baseline_work,
         spec_ok: spec.pta_status == PtaStatus::Completed,
         spec_work: spec.pta_work,
         spec_flushes: spec.analysis.stats.heap_flushes,
@@ -585,7 +590,7 @@ pub fn pta_scale_solve_sharded(
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let digest = {
         use std::hash::Hasher;
-        let mut h = mujs_pta::hash::FxHasher::default();
+        let mut h = mujs_ir::hash::FxHasher::default();
         h.write(r.export_json().as_bytes());
         h.finish()
     };

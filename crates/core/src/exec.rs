@@ -10,6 +10,7 @@ use mujs_interp::coerce::{self, CoerceError};
 use mujs_interp::context::CtxId;
 use mujs_interp::machine::lit_value;
 use mujs_interp::{ObjClass, ObjId, ScopeId, Value};
+use mujs_ir::hash::FastSet;
 use mujs_ir::ir::{FuncKind, Place, PropKey, StmtKind};
 use mujs_ir::{FuncId, Stmt, StmtId, Sym, TempId};
 use std::rc::Rc;
@@ -1089,7 +1090,7 @@ impl DMachine<'_> {
         };
         let mut d = base.d;
         let mut out: Vec<Sym> = Vec::new();
-        let mut seen: std::collections::HashSet<Sym> = std::collections::HashSet::new();
+        let mut seen: FastSet<Sym> = FastSet::default();
         let mut cur = Some(*oid);
         let mut fuel = 10_000;
         while let Some(id) = cur {

@@ -10,9 +10,9 @@
 use crate::det::{DValue, Det, FactValue};
 use mujs_interp::context::{ContextTable, CtxId};
 use mujs_interp::{ObjClass, Value};
+use mujs_ir::hash::FastMap;
 use mujs_ir::{Program, StmtId};
 use mujs_syntax::span::SourceFile;
-use std::collections::HashMap;
 
 /// A merged fact at one `(point, context)`.
 #[derive(Debug, Clone, PartialEq)]
@@ -114,8 +114,8 @@ pub enum FactKind {
 /// runs.
 #[derive(Debug, Default)]
 pub struct FactDb {
-    facts: HashMap<(FactKind, StmtId, CtxId), Fact>,
-    trips: HashMap<(StmtId, CtxId), TripFact>,
+    facts: FastMap<(FactKind, StmtId, CtxId), Fact>,
+    trips: FastMap<(StmtId, CtxId), TripFact>,
     dropped: u64,
     max_entries: usize,
 }
@@ -270,7 +270,7 @@ impl FactDb {
         other_ctxs: &ContextTable,
         target_ctxs: &mut ContextTable,
     ) -> u64 {
-        let mut remap: HashMap<CtxId, CtxId> = HashMap::new();
+        let mut remap: FastMap<CtxId, CtxId> = FastMap::default();
         let mut translate = |c: CtxId, target: &mut ContextTable| -> CtxId {
             if let Some(&t) = remap.get(&c) {
                 return t;

@@ -14,10 +14,10 @@ use mujs_dom::events::EventRegistry;
 use mujs_interp::context::{ContextTable, CtxId};
 use mujs_interp::machine::Protos;
 use mujs_interp::{ObjClass, ObjId, Object, ScopeId, Slot, Value};
+use mujs_ir::hash::FastMap;
 use mujs_ir::{FuncId, Program, StmtId, Sym};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Epoch sentinel for slots installed by the standard library setup: they
@@ -95,7 +95,7 @@ pub struct DScope {
     /// Locals indexed by the owner's [`mujs_ir::Function::locals`] layout.
     pub(crate) slots: Vec<(Value, SlotAnn)>,
     /// Bindings outside the static layout.
-    pub(crate) ext: HashMap<Sym, (Value, SlotAnn)>,
+    pub(crate) ext: FastMap<Sym, (Value, SlotAnn)>,
     pub(crate) parent: Option<ScopeId>,
     /// Nearest enclosing activation (catch scopes are transparent to slot
     /// addressing).
@@ -238,7 +238,7 @@ pub struct DMachine<'p> {
     pub doc: Option<Document>,
     /// Registered event handlers.
     pub events: EventRegistry<ObjId>,
-    pub(crate) dom_nodes: HashMap<mujs_dom::document::NodeId, ObjId>,
+    pub(crate) dom_nodes: FastMap<mujs_dom::document::NodeId, ObjId>,
     pub(crate) dom_document_obj: Option<ObjId>,
     pub(crate) dom_element_proto: Option<ObjId>,
     pub(crate) rng: StdRng,
@@ -336,7 +336,7 @@ impl<'p> DMachine<'p> {
             natives: Vec::new(),
             doc: None,
             events: EventRegistry::new(),
-            dom_nodes: HashMap::new(),
+            dom_nodes: FastMap::default(),
             dom_document_obj: None,
             dom_element_proto: None,
             rng: StdRng::seed_from_u64(cfg.seed),
@@ -667,7 +667,7 @@ impl<'p> DMachine<'p> {
             owner,
             activation: false,
             slots: Vec::new(),
-            ext: HashMap::new(),
+            ext: FastMap::default(),
             parent,
             fn_parent,
             captured: false,
@@ -691,7 +691,7 @@ impl<'p> DMachine<'p> {
             owner: func,
             activation: true,
             slots: vec![(Value::Undefined, init); n],
-            ext: HashMap::new(),
+            ext: FastMap::default(),
             parent,
             fn_parent,
             captured: false,

@@ -140,13 +140,11 @@ pub fn shortcut_summaries(
     if regions.is_empty() {
         return ShortcutOutcome::default();
     }
-    let mut points: HashSet<StmtId> = HashSet::new();
+    let mut trace = TraceConfig::new(SHORTCUT_MAX_EVENTS);
     for &fid in &regions {
-        Program::walk_block(&prog.func(fid).body, &mut |s| {
-            points.insert(s.id);
-        });
+        trace.add_func(fid);
+        Program::walk_block(&prog.func(fid).body, &mut |s| trace.add_point(s.id));
     }
-    let funcs: HashSet<FuncId> = regions.iter().copied().collect();
     let seed = cfg.seed;
     let max_steps = cfg.max_steps;
     // The replay runs the same lowering over the same source, so every
@@ -159,11 +157,7 @@ pub fn shortcut_summaries(
         let opts = InterpOptions {
             seed,
             max_steps,
-            trace: Some(TraceConfig {
-                points,
-                funcs,
-                max_events: SHORTCUT_MAX_EVENTS,
-            }),
+            trace: Some(trace),
             ..Default::default()
         };
         let out = h.run_dom(opts, doc2, plan);

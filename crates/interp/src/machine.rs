@@ -10,12 +10,12 @@ use crate::context::{ContextTable, CtxId};
 use crate::values::{NativeId, ObjClass, ObjId, Object, ScopeId, Slot, Value};
 use mujs_dom::document::Document;
 use mujs_dom::events::EventRegistry;
+use mujs_ir::hash::{FastMap, FastSet};
 use mujs_ir::ir::{FuncKind, Place, PropKey, StmtKind};
 use mujs_ir::{Block, FuncId, Program, Stmt, StmtId, Sym, TempId};
 use mujs_syntax::ast::Lit;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
@@ -106,17 +106,60 @@ impl Default for InterpOptions {
 }
 
 /// Which program points the heap trace records events at.
+///
+/// The point and function filters are dense bitsets indexed by
+/// `StmtId`/`FuncId`: the machine consults them on every define, so a
+/// membership test is one shift and mask.
 #[derive(Debug, Clone, Default)]
 pub struct TraceConfig {
-    /// Statement ids whose define / property-write / call events are
-    /// recorded.
-    pub points: std::collections::HashSet<StmtId>,
-    /// Functions whose `return` values are recorded.
-    pub funcs: std::collections::HashSet<FuncId>,
-    /// Cap on distinct recorded events; exceeding it sets
+    points: Vec<u64>,
+    funcs: Vec<u64>,
+    max_events: usize,
+}
+
+impl TraceConfig {
+    /// A configuration recording nothing yet. `max_events` caps the
+    /// distinct recorded events; exceeding it sets
     /// [`HeapTrace::truncated`] and stops recording (allocation-site
     /// tagging continues, so already-recorded events stay well-formed).
-    pub max_events: usize,
+    pub fn new(max_events: usize) -> Self {
+        TraceConfig {
+            max_events,
+            ..Default::default()
+        }
+    }
+
+    /// Records define / property-write / call events at `point`.
+    pub fn add_point(&mut self, point: StmtId) {
+        bit_insert(&mut self.points, point.0);
+    }
+
+    /// Records the `return` values of `func`.
+    pub fn add_func(&mut self, func: FuncId) {
+        bit_insert(&mut self.funcs, func.0);
+    }
+
+    fn has_point(&self, point: StmtId) -> bool {
+        bit_test(&self.points, point.0)
+    }
+
+    fn has_func(&self, func: FuncId) -> bool {
+        bit_test(&self.funcs, func.0)
+    }
+}
+
+fn bit_insert(words: &mut Vec<u64>, i: u32) {
+    let w = (i / 64) as usize;
+    if w >= words.len() {
+        words.resize(w + 1, 0);
+    }
+    words[w] |= 1 << (i % 64);
+}
+
+fn bit_test(words: &[u64], i: u32) -> bool {
+    words
+        .get((i / 64) as usize)
+        .is_some_and(|w| w & (1 << (i % 64)) != 0)
 }
 
 /// The abstraction of a concrete heap value, resolved *at record time*
@@ -197,14 +240,14 @@ impl HeapTrace {
 #[derive(Debug, Default)]
 struct TraceState {
     out: HeapTrace,
-    seen_defines: std::collections::HashSet<(StmtId, TraceAbs)>,
-    seen_writes: std::collections::HashSet<(StmtId, TraceAbs, Sym, TraceAbs)>,
-    seen_calls: std::collections::HashSet<TraceCall>,
-    seen_rets: std::collections::HashSet<(FuncId, TraceAbs)>,
+    seen_defines: FastSet<(StmtId, TraceAbs)>,
+    seen_writes: FastSet<(StmtId, TraceAbs, Sym, TraceAbs)>,
+    seen_calls: FastSet<TraceCall>,
+    seen_rets: FastSet<(FuncId, TraceAbs)>,
     /// Allocation provenance: site-allocated objects and closure
     /// `.prototype` records. Objects absent here abstract to
     /// [`TraceAbs::Opaque`].
-    tags: HashMap<ObjId, TraceAbs>,
+    tags: FastMap<ObjId, TraceAbs>,
 }
 
 /// One recorded definition event: statement `point` under calling context
@@ -235,7 +278,7 @@ pub struct Scope {
     /// The activation's locals, indexed by the static layout.
     slots: Vec<Value>,
     /// Bindings outside the static layout.
-    ext: HashMap<Sym, Value>,
+    ext: FastMap<Sym, Value>,
     parent: Option<ScopeId>,
     /// Nearest enclosing activation scope (catch scopes skipped); slot
     /// coordinates with `hops ≥ 1` climb this chain.
@@ -317,7 +360,7 @@ pub struct Interp<'p> {
     pub doc: Option<Document>,
     /// Registered event handlers (closure object ids).
     pub events: EventRegistry<ObjId>,
-    pub(crate) dom_nodes: HashMap<mujs_dom::document::NodeId, ObjId>,
+    pub(crate) dom_nodes: FastMap<mujs_dom::document::NodeId, ObjId>,
     pub(crate) dom_document_obj: Option<ObjId>,
     pub(crate) dom_element_proto: Option<ObjId>,
     rng: StdRng,
@@ -376,7 +419,7 @@ impl<'p> Interp<'p> {
             natives: Vec::new(),
             doc: None,
             events: EventRegistry::new(),
-            dom_nodes: HashMap::new(),
+            dom_nodes: FastMap::default(),
             dom_document_obj: None,
             dom_element_proto: None,
             rng: StdRng::seed_from_u64(opts.seed),
@@ -504,7 +547,7 @@ impl<'p> Interp<'p> {
         self.scopes.push(Scope {
             func: None,
             slots: Vec::new(),
-            ext: HashMap::new(),
+            ext: FastMap::default(),
             parent,
             fn_parent,
             captured: false,
@@ -521,7 +564,7 @@ impl<'p> Interp<'p> {
         self.scopes.push(Scope {
             func: Some(func),
             slots: vec![Value::Undefined; n],
-            ext: HashMap::new(),
+            ext: FastMap::default(),
             parent,
             fn_parent,
             captured: false,
@@ -697,10 +740,7 @@ impl<'p> Interp<'p> {
 
     /// Whether events at `point` are recorded.
     fn trace_point(&self, point: StmtId) -> bool {
-        self.opts
-            .trace
-            .as_ref()
-            .is_some_and(|c| c.points.contains(&point))
+        self.opts.trace.as_ref().is_some_and(|c| c.has_point(point))
     }
 
     /// Tags an object's allocation provenance (always on while tracing,
@@ -824,12 +864,7 @@ impl<'p> Interp<'p> {
     }
 
     fn trace_ret(&mut self, func: FuncId, value: &Value) {
-        if !self
-            .opts
-            .trace
-            .as_ref()
-            .is_some_and(|c| c.funcs.contains(&func))
-        {
+        if !self.opts.trace.as_ref().is_some_and(|c| c.has_func(func)) {
             return;
         }
         let Some(abs) = self.trace_abs(value) else {
@@ -1419,7 +1454,7 @@ impl<'p> Interp<'p> {
             return Vec::new();
         };
         let mut out: Vec<Sym> = Vec::new();
-        let mut seen: std::collections::HashSet<Sym> = std::collections::HashSet::new();
+        let mut seen: FastSet<Sym> = FastSet::default();
         let mut cur = Some(*oid);
         let mut fuel = 10_000;
         while let Some(id) = cur {
@@ -1756,4 +1791,23 @@ pub fn array_index(key: &str) -> Option<u32> {
         return None;
     }
     key.parse::<u32>().ok()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn trace_filters_are_exact_across_word_boundaries() {
+        let mut c = TraceConfig::new(8);
+        for i in [0, 63, 64, 200] {
+            c.add_point(StmtId(i));
+        }
+        c.add_func(FuncId(65));
+        for i in 0..300 {
+            assert_eq!(c.has_point(StmtId(i)), [0, 63, 64, 200].contains(&i), "{i}");
+            assert_eq!(c.has_func(FuncId(i)), i == 65, "{i}");
+        }
+        assert!(!TraceConfig::default().has_point(StmtId(0)));
+    }
 }

@@ -26,7 +26,6 @@
 //! ```
 
 pub mod blame;
-pub mod hash;
 pub mod nodes;
 pub(crate) mod parallel;
 pub mod pts;

@@ -28,8 +28,8 @@
 //! schedule-independent as the sets themselves.
 
 use crate::blame::outflow;
-use crate::hash::FastMap;
 use crate::pts::{flow_into_logged, FlowLogEntry, Pts};
+use mujs_ir::hash::FastMap;
 use std::collections::VecDeque;
 
 /// A cross-shard delta: `objs` flowed along an edge into `target`

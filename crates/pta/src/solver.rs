@@ -24,10 +24,10 @@
 //! timeout.
 
 use crate::blame::{BlameCause, BlameData, Provenance, INHERIT};
-use crate::hash::{FastMap, FastSet};
 use crate::nodes::{AbsObj, Node};
 use crate::pts::{self, Pts};
 use crate::scc;
+use mujs_ir::hash::{FastMap, FastSet};
 use mujs_ir::ir::{Place, PropKey, StmtKind};
 use mujs_ir::resolve::{Binding, Resolver};
 use mujs_ir::{FuncId, FuncKind, Program, Stmt, StmtId, Sym};
@@ -188,7 +188,7 @@ pub struct PtaResult {
     pub stats: PtaStats,
     pub(crate) pts: Vec<Pts>,
     pub(crate) parent: Vec<u32>,
-    pub(crate) node_ids: HashMap<Node, u32>,
+    pub(crate) node_ids: FastMap<Node, u32>,
     pub(crate) objs: Vec<AbsObj>,
     pub(crate) call_graph: BTreeMap<StmtId, BTreeSet<FuncId>>,
     pub(crate) blame: Option<BlameData>,
@@ -954,7 +954,7 @@ impl<'p> Solver<'p> {
             stats: self.stats,
             pts: self.old,
             parent: self.parent,
-            node_ids: self.node_ids.into_iter().collect(),
+            node_ids: self.node_ids,
             objs: self.objs,
             call_graph: self.call_graph,
             blame,

@@ -7,13 +7,18 @@
 //! `UPDATE_GOLDEN=1 cargo test --test intern_determinism` **only** when a
 //! change is *supposed* to alter analysis results.
 //!
+//! The same holds for the concrete shortcut replay: the portable summary
+//! artifact (`summaries_exports.txt`) is pinned byte for byte, so a change
+//! to the replay interpreter or its tracer cannot move the summaries the
+//! service caches.
+//!
 //! Also re-checks the PR 2 scheduling guarantee end-to-end: `detjobs`
 //! batch reports are byte-identical for any worker count (the 1-vs-8
 //! pattern from `crates/jobs/tests/scheduler.rs`), now across the full
 //! built-in corpus.
 
 use determinacy::multirun::export_json;
-use determinacy::{AnalysisConfig, DetHarness};
+use determinacy::{AnalysisConfig, DetHarness, PortableSummaries};
 use mujs_jobs::{run_manifest, JobPool, JobSpec, Manifest};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -87,6 +92,44 @@ fn evalbench_fact_exports_match_pre_interning_bytes() {
         let _ = writeln!(all, "=== {} ===\n{json}", b.name);
     }
     assert_golden("evalbench_exports.txt", &all);
+}
+
+/// The portable shortcut summaries (`PortableSummaries::to_value`) of
+/// every Table 1 corpus version under the DetDOM configuration.
+#[test]
+fn shortcut_summary_exports_match_golden_bytes() {
+    let mut all = String::new();
+    for v in mujs_corpus::jquery_like::all_versions() {
+        let cfg = AnalysisConfig {
+            det_dom: true,
+            ..Default::default()
+        };
+        let mut h = DetHarness::from_src(&v.src).expect("corpus parses");
+        let out = determinacy::supervised_analyze_dom(
+            &mut h,
+            cfg.clone(),
+            v.doc.clone(),
+            &v.plan,
+            &determinacy::RunHooks::supervised(),
+        )
+        .expect("corpus analyzes");
+        let sums = determinacy::shortcut_summaries(
+            &v.src,
+            &v.doc,
+            &v.plan,
+            &cfg,
+            &out.facts,
+            &mut h.program,
+        );
+        let portable = PortableSummaries::from_summaries(&sums.summaries, &h.program);
+        let json = serde_json::to_string(&portable.to_value()).expect("summaries serialize");
+        let _ = writeln!(
+            all,
+            "=== jquery-like {} (candidates {}, degraded {}) ===\n{json}",
+            v.version, sums.candidates, sums.degraded
+        );
+    }
+    assert_golden("summaries_exports.txt", &all);
 }
 
 fn full_corpus_manifest() -> Manifest {
